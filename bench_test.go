@@ -348,7 +348,7 @@ func BenchmarkAblationDuplication(b *testing.B) {
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
 				rep, err := scheduler.Run(context.Background(), scheduler.Greedy,
-					items, paths(), scheduler.Options{DisableDuplication: !dup})
+					items, paths(), scheduler.Options{Resilience: scheduler.Resilience{DisableDuplication: !dup}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -623,7 +623,7 @@ func runAblation() error {
 	fmt.Println("Ablation 1: GRD endgame duplication (3 items, 4:1 path asymmetry)")
 	for _, dup := range []bool{true, false} {
 		rep, err := scheduler.Run(context.Background(), scheduler.Greedy,
-			mkItems(3, 400_000), twoPaths(), scheduler.Options{DisableDuplication: !dup})
+			mkItems(3, 400_000), twoPaths(), scheduler.Options{Resilience: scheduler.Resilience{DisableDuplication: !dup}})
 		if err != nil {
 			return err
 		}

@@ -99,8 +99,8 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 	}
 
 	rep, err := scheduler.Run(ctx, opts.Algo, items, paths, scheduler.Options{
-		MinAlpha:           opts.MinAlpha,
-		DisableDuplication: opts.DisableDuplication,
+		MinAlpha:   opts.MinAlpha,
+		Resilience: scheduler.Resilience{DisableDuplication: opts.DisableDuplication},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: upload transaction: %w", err)

@@ -261,8 +261,8 @@ func (h *Home) BoostVoD(ctx context.Context, origin, masterPath string, opts VoD
 		routes = append(routes, Route{Name: ph.Name, Client: h.PhoneClient(ph)})
 	}
 	vp, err := newVoDProxy(h.ADSLClient(), routes, origin, opts.Algo, scheduler.Options{
-		MinAlpha:           opts.MinAlpha,
-		DisableDuplication: opts.DisableDuplication,
+		MinAlpha:   opts.MinAlpha,
+		Resilience: scheduler.Resilience{DisableDuplication: opts.DisableDuplication},
 	})
 	if err != nil {
 		return nil, err

@@ -15,8 +15,10 @@
 //     wrapper) and the Conn/Dialer wrappers at the netem level;
 //   - admission control, via Gate (a discovery.Beacon / permit-style
 //     allow hook honouring departure and revocation windows);
-//   - the fleet chaos harness, via Simulate — a virtual-time greedy
-//     scheduler emulator whose output is bit-identical across runs.
+//   - the fleet chaos harness, via Simulate — a virtual-time driver of
+//     the scheduler's own greedy decision core (scheduler.Core), whose
+//     output is bit-identical across runs. Simulate models only the
+//     physics: how long each attempt runs and when a fault kills it.
 //
 // Five fault kinds cover the failure modes the resilience machinery in
 // internal/scheduler must answer: path blackouts (connections refused,

@@ -4,20 +4,22 @@ package fault
 // is real-time and goroutine-concurrent, so its outputs are not
 // bit-stable across runs — fine for the prototype path, fatal for the
 // fleet engine's byte-identical-across-worker-counts contract. Simulate
-// is the bridge: a single-threaded discrete-event emulator of the
-// greedy (GRD) policy with the full resilience stack — per-(item,path)
-// retry budgets, requeue on failure, endgame duplication with replica
-// cancellation, deterministic backoff with seeded jitter, the stall
-// watchdog, and the per-path circuit breaker — all played against a
-// fault Plan on the same float64-seconds timeline the live decorators
-// use. No wall clock, no global rand, no goroutines: same config in,
-// same report out, bit for bit.
+// is the bridge: a single-threaded discrete-event driver of the
+// scheduler's own greedy decision core (scheduler.Core). The core takes
+// every policy decision — retry budgets, requeue, endgame duplication,
+// seeded backoff, the circuit breaker — exactly as it does under the
+// live driver; this file adds only the physics (each attempt walked
+// against the fault Plan on the same float64-seconds timeline the live
+// decorators use, the stall watchdog included) and the accounting. No
+// wall clock, no global rand, no goroutines: same config in, same
+// report out, bit for bit.
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
+
+	"threegol/internal/scheduler"
 )
 
 // SimPath describes one path in a chaos simulation.
@@ -34,63 +36,12 @@ type SimConfig struct {
 	Paths []SimPath
 	Items []int64 // item sizes in bytes
 	Plan  *Plan
-
-	// Resilience knobs, mirroring scheduler.Options:
-
-	// MaxRetries is the per-(item, path) attempt budget; 0 selects 3.
-	MaxRetries int
-	// DisableDuplication turns off the endgame.
-	DisableDuplication bool
-	// BackoffBase is the delay before a path's next attempt after a
-	// failure, growing exponentially with its failure streak; 0
-	// disables backoff.
-	BackoffBase float64
-	// BackoffMax caps the growth; 0 selects 32×Base.
-	BackoffMax float64
-	// Jitter widens each backoff by a uniform fraction in [0, Jitter)
-	// drawn from the seeded stream.
-	Jitter float64
-	// Seed seeds the jitter stream.
-	Seed int64
-	// StallTimeout aborts an attempt when a stall window holds it
-	// silent this long; 0 disables the watchdog (the attempt waits the
-	// stall out).
-	StallTimeout float64
-	// BreakerThreshold opens a path's breaker after this many
-	// consecutive failures; 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the first hold; 0 selects 0.5. Re-openings
-	// double it up to BreakerMaxCooldown (0 selects 8× cooldown).
-	BreakerCooldown    float64
-	BreakerMaxCooldown float64
-}
-
-func (c SimConfig) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 3
-	}
-	return c.MaxRetries
-}
-
-func (c SimConfig) backoffMax() float64 {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
-	}
-	return 32 * c.BackoffBase
-}
-
-func (c SimConfig) breakerCooldown() float64 {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 0.5
-}
-
-func (c SimConfig) breakerMaxCooldown() float64 {
-	if c.BreakerMaxCooldown > 0 {
-		return c.BreakerMaxCooldown
-	}
-	return 8 * c.breakerCooldown()
+	// Resilience is the scheduler's failure-handling configuration,
+	// applied as the live scheduler applies it. Durations convert to
+	// virtual seconds; a StallTimeout aborts an attempt that a stall
+	// window holds silent that long (0: the attempt waits the stall
+	// out).
+	scheduler.Resilience
 }
 
 // SimPathStats aggregates one path's activity in a SimReport.
@@ -137,13 +88,6 @@ const (
 	attemptOK = iota
 	attemptKilled
 	attemptStalled
-)
-
-// breaker states, mirroring the scheduler's machine.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
 )
 
 // walkAttempt plays one transfer attempt against the plan: from t0,
@@ -212,7 +156,7 @@ type simEvent struct {
 	seq  int // FIFO tie-break: identical times pop in push order
 	kind int
 	path int
-	att  *simAttempt
+	gen  int // evResolve: the attempt's generation; stale once cancelled
 }
 
 type eventHeap []simEvent
@@ -228,46 +172,27 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
+// simAttempt is the attempt a path is running.
 type simAttempt struct {
-	item      int
-	path      int
-	start     float64
-	bytes     int64 // bytes at natural resolution
-	out       int
-	cancelled bool
-}
-
-type simFlight struct {
-	item     int
-	seq      int
-	replicas map[int]*simAttempt // path index → active attempt
+	gen   int // 0: none running
+	item  int
+	start float64
+	bytes int64 // bytes at natural resolution
+	out   int
 }
 
 type simState struct {
-	cfg  SimConfig
-	plan *Plan
-	rng  *rand.Rand
-	rep  *SimReport
+	cfg   SimConfig
+	plan  *Plan
+	stall float64
+	core  *scheduler.Core
+	rep   *SimReport
 
 	events eventHeap
 	evSeq  int
 
-	pending   []int
-	flights   map[int]*simFlight
-	assignSeq int
-	doneItem  []bool
-	fails     [][]int // [item][path]
-	busy      []bool
-	// earliestIdle[p] is the backoff horizon: dispatches before it are
-	// ignored (the failure that set it already queued a wake there).
-	earliestIdle []float64
-	streak       []int // consecutive failures per path (backoff)
-
-	// breaker per path
-	brState  []int // breakerClosed/Open/HalfOpen (shared constants)
-	brConsec []int
-	brUntil  []float64
-	brHold   []float64
+	att []simAttempt // per path
+	gen int
 
 	// lossByItem accumulates each item's completion-time loser waste
 	// (winner-cancelled replicas plus simultaneous-finish ties); its
@@ -291,32 +216,19 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	}
 	n := len(cfg.Paths)
 	s := &simState{
-		cfg:  cfg,
-		plan: cfg.Plan,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		cfg:   cfg,
+		plan:  cfg.Plan,
+		stall: cfg.StallTimeout.Seconds(),
+		core:  scheduler.NewCore(scheduler.Greedy, len(cfg.Items), n, cfg.Resilience),
 		rep: &SimReport{
 			Delivered: make([]int, len(cfg.Items)),
 			PerPath:   make(map[string]SimPathStats, n),
 		},
-		flights:      make(map[int]*simFlight),
-		doneItem:     make([]bool, len(cfg.Items)),
-		fails:        make([][]int, len(cfg.Items)),
-		busy:         make([]bool, n),
-		earliestIdle: make([]float64, n),
-		streak:       make([]int, n),
-		brState:      make([]int, n),
-		brConsec:     make([]int, n),
-		brUntil:      make([]float64, n),
-		brHold:       make([]float64, n),
-		lossByItem:   make([]int64, len(cfg.Items)),
-	}
-	for i := range cfg.Items {
-		s.fails[i] = make([]int, n)
-		s.pending = append(s.pending, i)
+		att:        make([]simAttempt, n),
+		lossByItem: make([]int64, len(cfg.Items)),
 	}
 	for p := range cfg.Paths {
 		s.rep.PerPath[cfg.Paths[p].Name] = SimPathStats{}
-		s.brHold[p] = cfg.breakerCooldown()
 		s.push(simEvent{t: 0, kind: evIdle, path: p})
 	}
 	if len(cfg.Items) == 0 {
@@ -329,7 +241,9 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		case evIdle:
 			s.dispatch(e.path, e.t)
 		case evResolve:
-			s.resolve(e.att, e.t)
+			if e.gen == s.att[e.path].gen {
+				s.resolve(e.path, e.t)
+			}
 		}
 	}
 	if !s.done && s.rep.Failed == "" {
@@ -354,150 +268,75 @@ func (s *simState) push(e simEvent) {
 	heap.Push(&s.events, e)
 }
 
+// busy reports whether path p is running an attempt.
+func (s *simState) busy(p int) bool { return s.att[p].gen != 0 }
+
 // wakeAll re-dispatches every idle path at time t — the simulation's
 // cond.Broadcast.
 func (s *simState) wakeAll(t float64) {
 	for p := range s.cfg.Paths {
-		if !s.busy[p] {
+		if !s.busy(p) {
 			s.push(simEvent{t: t, kind: evIdle, path: p})
 		}
 	}
 }
 
-// backoffDelay draws the delay for a path's k-th consecutive failure.
-func (s *simState) backoffDelay(k int) float64 {
-	if s.cfg.BackoffBase <= 0 {
-		return 0
-	}
-	d := s.cfg.BackoffBase
-	for i := 0; i < k && d < s.cfg.backoffMax(); i++ {
-		d *= 2
-	}
-	d = math.Min(d, s.cfg.backoffMax())
-	if s.cfg.Jitter > 0 {
-		d += s.cfg.Jitter * s.rng.Float64() * d
-	}
-	return d
-}
-
-// dispatch tries to start work on idle path p at time t.
+// dispatch asks the core what idle path p does at time t.
 func (s *simState) dispatch(p int, t float64) {
-	if s.done || s.rep.Failed != "" || s.busy[p] {
+	if s.done || s.rep.Failed != "" || s.busy(p) {
 		return
 	}
-	if t < s.earliestIdle[p] {
-		return // backing off; a wake is queued at the horizon
+	d := s.core.Idle(p, t)
+	switch d.Act {
+	case scheduler.ActCooldown:
+		s.push(simEvent{t: d.Until, kind: evIdle, path: p})
+		return
+	case scheduler.ActStart:
+	default:
+		// Backing off (the failure queued a wake at the horizon), or
+		// parked until state changes.
+		return
 	}
-	if s.cfg.BreakerThreshold > 0 && s.brState[p] == breakerOpen {
-		if t < s.brUntil[p] {
-			s.push(simEvent{t: s.brUntil[p], kind: evIdle, path: p})
-			return
-		}
-		s.brState[p] = breakerHalfOpen // this dispatch is the probe
-	}
-
-	// Prefer pending work; otherwise duplicate the endgame item with
-	// the fewest replicas (oldest assignment breaks ties).
-	takeIdx := -1
-	for i, it := range s.pending {
-		if s.fails[it][p] < s.cfg.maxRetries() {
-			takeIdx = i
-			break
-		}
-	}
-	var f *simFlight
-	if takeIdx >= 0 {
-		it := s.pending[takeIdx]
-		s.pending = append(s.pending[:takeIdx], s.pending[takeIdx+1:]...)
-		f = &simFlight{item: it, seq: s.assignSeq, replicas: make(map[int]*simAttempt)}
-		s.assignSeq++
-		s.flights[it] = f
-	} else if !s.cfg.DisableDuplication {
-		best := -1
-		for it, cand := range s.flights {
-			_ = it
-			if _, carrying := cand.replicas[p]; carrying {
-				continue
-			}
-			if len(cand.replicas) >= len(s.cfg.Paths) {
-				continue
-			}
-			if s.fails[cand.item][p] >= s.cfg.maxRetries() {
-				continue
-			}
-			if best == -1 {
-				best = cand.item
-				continue
-			}
-			b := s.flights[best]
-			if len(cand.replicas) != len(b.replicas) {
-				if len(cand.replicas) < len(b.replicas) {
-					best = cand.item
-				}
-			} else if cand.seq < b.seq {
-				best = cand.item
-			}
-		}
-		if best == -1 {
-			return // park; a wake will retry when state changes
-		}
-		f = s.flights[best]
+	if d.Dup {
 		s.rep.Duplicates++
-	} else {
-		return
 	}
-
 	sp := s.cfg.Paths[p]
-	end, bytes, out := walkAttempt(s.plan, sp.Name, sp.Rate, s.cfg.Items[f.item], t, s.cfg.StallTimeout)
-	att := &simAttempt{item: f.item, path: p, start: t, bytes: bytes, out: out}
-	f.replicas[p] = att
-	s.busy[p] = true
-	s.push(simEvent{t: end, kind: evResolve, path: p, att: att})
+	end, bytes, out := walkAttempt(s.plan, sp.Name, sp.Rate, s.cfg.Items[d.Item], t, s.stall)
+	s.gen++
+	s.att[p] = simAttempt{gen: s.gen, item: d.Item, start: t, bytes: bytes, out: out}
+	s.push(simEvent{t: end, kind: evResolve, path: p, gen: s.gen})
 	// A fresh in-flight item is a new endgame candidate for parked
 	// paths.
 	s.wakeAll(t)
 }
 
-// resolve settles an attempt at its natural end time t.
-func (s *simState) resolve(att *simAttempt, t float64) {
-	if att.cancelled {
-		return // already settled at the winner's completion
-	}
-	p := att.path
+// resolve settles path p's attempt at its natural end time t.
+func (s *simState) resolve(p int, t float64) {
+	att := s.att[p]
+	s.att[p] = simAttempt{}
 	name := s.cfg.Paths[p].Name
-	s.busy[p] = false
-	f := s.flights[att.item]
-	if f != nil {
-		delete(f.replicas, p)
-	}
 	st := s.rep.PerPath[name]
+	st.Bytes += att.bytes
 
 	if att.out == attemptOK {
-		st.Bytes += att.bytes
-		if !s.doneItem[att.item] {
-			s.doneItem[att.item] = true
+		r := s.core.Finish(att.item, p, scheduler.AttemptOK, t)
+		if r.Won {
 			s.rep.Delivered[att.item]++
 			s.rep.Completed++
 			st.Items++
-			s.streak[p] = 0
-			s.breakerSuccess(p)
 			// Cancel the losing replicas: account their partial bytes
 			// as duplicate waste and free their paths now.
-			if f != nil {
-				for rp, r := range f.replicas {
-					r.cancelled = true
-					rb := cleanBytes(s.plan, s.cfg.Paths[rp].Name, s.cfg.Paths[rp].Rate,
-						s.cfg.Items[att.item], r.start, t)
-					rst := s.rep.PerPath[s.cfg.Paths[rp].Name]
-					rst.Bytes += rb
-					s.rep.PerPath[s.cfg.Paths[rp].Name] = rst
-					s.rep.DuplicateWaste += rb
-					s.lossByItem[att.item] += rb
-					s.busy[rp] = false
-				}
-				delete(s.flights, att.item)
+			for _, rp := range r.Cancel {
+				rsp := s.cfg.Paths[rp]
+				rb := cleanBytes(s.plan, rsp.Name, rsp.Rate, s.cfg.Items[att.item], s.att[rp].start, t)
+				s.att[rp] = simAttempt{}
+				rst := s.rep.PerPath[rsp.Name]
+				rst.Bytes += rb
+				s.rep.PerPath[rsp.Name] = rst
+				s.rep.DuplicateWaste += rb
+				s.lossByItem[att.item] += rb
 			}
-			if s.rep.Completed == len(s.cfg.Items) {
+			if r.Done {
 				s.done = true
 				s.elapsed = t
 			}
@@ -515,82 +354,29 @@ func (s *simState) resolve(att *simAttempt, t float64) {
 	}
 
 	// Failure (killed or stall-aborted).
-	st.Bytes += att.bytes
+	out := scheduler.AttemptFailed
 	st.Failures++
 	if att.out == attemptStalled {
+		out = scheduler.AttemptStalled
 		st.Stalls++
 		s.rep.StallAborts++
 	}
-	s.rep.PerPath[name] = st
 	s.rep.FailureWaste += att.bytes
-	s.fails[att.item][p]++
-	s.breakerFailure(p, t)
-	delay := s.backoffDelay(s.streak[p])
-	s.streak[p]++
-
-	if !s.doneItem[att.item] {
-		exhausted := true
-		for q := range s.cfg.Paths {
-			if s.fails[att.item][q] < s.cfg.maxRetries() {
-				exhausted = false
-				break
-			}
-		}
-		switch {
-		case exhausted:
-			s.rep.Failed = fmt.Sprintf("item %d failed on every path (last %s) after %d attempts",
-				att.item, name, sumInts(s.fails[att.item]))
-			s.elapsed = t
-			return
-		case f != nil && len(f.replicas) == 0:
-			delete(s.flights, att.item)
-			s.pending = append(s.pending, att.item)
-			s.rep.Requeues++
-		}
-	}
-	s.earliestIdle[p] = t + delay
-	s.push(simEvent{t: t + delay, kind: evIdle, path: p})
-	s.wakeAll(t)
-}
-
-func (s *simState) breakerSuccess(p int) {
-	if s.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	s.brState[p] = breakerClosed
-	s.brConsec[p] = 0
-	s.brHold[p] = s.cfg.breakerCooldown()
-}
-
-func (s *simState) breakerFailure(p int, t float64) {
-	if s.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	open := func() {
-		s.brState[p] = breakerOpen
-		s.brUntil[p] = t + s.brHold[p]
-		s.brHold[p] = math.Min(s.brHold[p]*2, s.cfg.breakerMaxCooldown())
-		s.brConsec[p] = 0
+	r := s.core.Finish(att.item, p, out, t)
+	if r.Opened {
 		s.rep.BreakerOpens++
-		st := s.rep.PerPath[s.cfg.Paths[p].Name]
 		st.BreakerOpens++
-		s.rep.PerPath[s.cfg.Paths[p].Name] = st
 	}
-	switch s.brState[p] {
-	case breakerHalfOpen:
-		open()
-	case breakerClosed:
-		s.brConsec[p]++
-		if s.brConsec[p] >= s.cfg.BreakerThreshold {
-			open()
-		}
+	s.rep.PerPath[name] = st
+	switch {
+	case r.Exhausted:
+		s.rep.Failed = fmt.Sprintf("item %d failed on every path (last %s) after %d attempts",
+			att.item, name, r.Attempts)
+		s.elapsed = t
+		return
+	case r.Requeued:
+		s.rep.Requeues++
 	}
-}
-
-func sumInts(xs []int) int {
-	total := 0
-	for _, x := range xs {
-		total += x
-	}
-	return total
+	s.push(simEvent{t: t + r.Delay, kind: evIdle, path: p})
+	s.wakeAll(t)
 }

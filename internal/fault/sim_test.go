@@ -3,6 +3,9 @@ package fault
 import (
 	"encoding/json"
 	"testing"
+	"time"
+
+	"threegol/internal/scheduler"
 )
 
 func simPaths() []SimPath {
@@ -67,7 +70,10 @@ func TestSimulateBlackoutAllCompletesOnADSL(t *testing.T) {
 	plan := MustCompile(ScenarioBlackoutAll, 3, []string{"phone1", "phone2"}, 0)
 	rep := mustSimulate(t, SimConfig{
 		Paths: paths, Items: simItems(8, 300e3), Plan: plan,
-		BackoffBase: 0.2, Jitter: 0.5, Seed: 3, BreakerThreshold: 2,
+		Resilience: scheduler.Resilience{
+			Backoff: scheduler.BackoffConfig{Base: 200 * time.Millisecond, Jitter: 0.5, Seed: 3},
+			Breaker: scheduler.BreakerConfig{Threshold: 2},
+		},
 	})
 	assertExactlyOnce(t, rep, 8)
 	if got := rep.PerPath["adsl"].Items; got != 8 {
@@ -92,8 +98,10 @@ func TestSimulateDeterministic(t *testing.T) {
 		plan := MustCompile(sc, 11, []string{"phone1", "phone2"}, 120)
 		cfg := SimConfig{
 			Paths: simPaths(), Items: simItems(12, 400e3), Plan: plan,
-			BackoffBase: 0.1, Jitter: 0.5, Seed: 11,
-			StallTimeout: 2, BreakerThreshold: 3,
+			Resilience: scheduler.Resilience{
+				Backoff:      scheduler.BackoffConfig{Base: 100 * time.Millisecond, Jitter: 0.5, Seed: 11},
+				StallTimeout: 2 * time.Second, Breaker: scheduler.BreakerConfig{Threshold: 3},
+			},
 		}
 		a, err := Simulate(cfg)
 		if err != nil {
@@ -124,8 +132,10 @@ func TestSimulateDuplicateWasteBound(t *testing.T) {
 		plan := MustCompile(sc, 5, []string{"phone1", "phone2"}, 120)
 		rep := mustSimulate(t, SimConfig{
 			Paths: simPaths(), Items: simItems(9, size), Plan: plan,
-			BackoffBase: 0.1, Jitter: 0.5, Seed: 5,
-			StallTimeout: 2, BreakerThreshold: 3,
+			Resilience: scheduler.Resilience{
+				Backoff:      scheduler.BackoffConfig{Base: 100 * time.Millisecond, Jitter: 0.5, Seed: 5},
+				StallTimeout: 2 * time.Second, Breaker: scheduler.BreakerConfig{Threshold: 3},
+			},
 		})
 		assertExactlyOnce(t, rep, 9)
 		bound := int64(len(simPaths())-1) * size
@@ -161,7 +171,7 @@ func TestSimulateStallWatchdog(t *testing.T) {
 	}
 
 	armed := base
-	armed.StallTimeout = 2
+	armed.StallTimeout = 2 * time.Second
 	armed.MaxRetries = 100
 	rep = mustSimulate(t, armed)
 	if rep.StallAborts == 0 {
@@ -204,7 +214,7 @@ func TestSimulateBackoffSlowsRetries(t *testing.T) {
 	if rep.Elapsed != 0 {
 		t.Fatalf("no backoff: failure should resolve at t=0, got %v", rep.Elapsed)
 	}
-	cfg.BackoffBase = 1
+	cfg.Backoff.Base = time.Second
 	rep = mustSimulate(t, cfg)
 	// Three attempts: the second waits ≥1s, the third ≥2s.
 	if rep.Elapsed < 3 {
@@ -222,12 +232,13 @@ func TestSimulateBreakerHoldsPath(t *testing.T) {
 			{Name: "adsl", Rate: 10e3},
 			{Name: "phone1", Rate: 1000e3},
 		},
-		Items:            simItems(6, 200e3),
-		Plan:             plan,
-		MaxRetries:       50,
-		BackoffBase:      0.5,
-		BreakerThreshold: 2,
-		BreakerCooldown:  1,
+		Items: simItems(6, 200e3),
+		Plan:  plan,
+		Resilience: scheduler.Resilience{
+			MaxRetries: 50,
+			Backoff:    scheduler.BackoffConfig{Base: 500 * time.Millisecond},
+			Breaker:    scheduler.BreakerConfig{Threshold: 2, Cooldown: time.Second},
+		},
 	})
 	assertExactlyOnce(t, rep, 6)
 	if rep.BreakerOpens == 0 {

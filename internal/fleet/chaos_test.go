@@ -3,6 +3,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"threegol/internal/fault"
@@ -147,5 +150,38 @@ func TestRunChaosValidation(t *testing.T) {
 	}
 	if _, err := RunChaos(ChaosConfig{Homes: 4, Scenario: "earthquake"}, 1); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestRunChaosGolden pins the chaos reports of three scenarios across
+// sessions: any change to the scheduler's resilience policy (retry
+// budgets, requeue, endgame duplication, backoff, breaker) shows up as
+// a counter drift here. Floats are rounded as in TestRunGoldenReport.
+// Regenerate with go test ./internal/fleet -run TestRunChaosGolden -update.
+func TestRunChaosGolden(t *testing.T) {
+	var reps []ChaosReport
+	for _, sc := range []fault.Scenario{fault.ScenarioHostile, fault.ScenarioFlaky, fault.ScenarioBlackoutAll} {
+		rep := runChaosReport(t, ChaosConfig{Homes: 256, Seed: 1, Scenario: sc})
+		rep.MeanElapsedSecs = math.Round(rep.MeanElapsedSecs*1e6) / 1e6
+		reps = append(reps, rep)
+	}
+	b, err := json.MarshalIndent(reps, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(b) + "\n"
+	path := filepath.Join("testdata", "golden_chaos.json")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run go test ./internal/fleet -run TestRunChaosGolden -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("chaos reports drifted from golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

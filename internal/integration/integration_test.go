@@ -19,6 +19,7 @@ import (
 	"threegol/internal/hls"
 	"threegol/internal/linksim"
 	"threegol/internal/permit"
+	"threegol/internal/permitplane"
 	"threegol/internal/proxy"
 	"threegol/internal/quota"
 	"threegol/internal/scheduler"
@@ -51,7 +52,10 @@ func TestNetworkIntegratedPermitLoop(t *testing.T) {
 	backendSrv := httptest.NewServer(backend)
 	defer backendSrv.Close()
 
-	permits := &permit.Client{BackendURL: backendSrv.URL, Device: "ph1", Cell: cell.Name()}
+	permits := &permitplane.Cache{
+		Fetch:  (&permitplane.BatchClient{BackendURL: backendSrv.URL}).Fetch,
+		Device: "ph1", Cell: cell.Name(),
+	}
 
 	// Device component: proxy gated on the permit, beacon gated the same
 	// way.

@@ -2,20 +2,14 @@ package permit
 
 import "threegol/internal/obs"
 
-// Decision and refresh-result labels as recorded in Metrics.
+// Decision labels as recorded in Metrics.
 const (
 	decisionGranted = "granted"
 	decisionDenied  = "denied"
-
-	refreshGranted = "granted"
-	refreshDenied  = "denied"
-	refreshError   = "error" // backend unreachable or malformed reply
 )
 
-// Metrics holds the permit subsystem's instruments; register with
-// NewMetrics and assign to Backend.Metrics and/or Client.Metrics (backend
-// and client normally live in different processes, so sharing one Metrics
-// only happens in tests and the fleet simulator). A nil Metrics disables
+// Metrics holds the permit backend's instruments; register with
+// NewMetrics and assign to Backend.Metrics. A nil Metrics disables
 // instrumentation.
 type Metrics struct {
 	// Decisions counts backend permit decisions (granted | denied).
@@ -23,12 +17,6 @@ type Metrics struct {
 	// DecisionSeconds is the backend's service time per decision,
 	// dominated by the Utilization monitoring hook.
 	DecisionSeconds *obs.Histogram
-	// ClientRefreshes counts device-side cache refreshes by result
-	// (granted | denied | error); cache hits are not counted.
-	ClientRefreshes *obs.Counter
-	// ClientRetries counts single-retry attempts after a transient
-	// backend failure (connection error or 5xx).
-	ClientRetries *obs.Counter
 }
 
 // NewMetrics registers the permit subsystem's metrics on r.
@@ -39,11 +27,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		DecisionSeconds: r.NewHistogram("permit_decision_seconds",
 			"Backend service time per permit decision.",
 			0, 60, 1200),
-		ClientRefreshes: r.NewCounter("permit_client_refreshes_total",
-			"Device-side permit cache refreshes, by result (granted | denied | error); cache hits excluded.",
-			"result"),
-		ClientRetries: r.NewCounter("permit_client_retries_total",
-			"Permit refresh retries after a transient backend failure (connection error or 5xx)."),
 	}
 }
 
@@ -57,25 +40,4 @@ func (m *Metrics) decided(granted bool, secs float64) {
 	}
 	m.Decisions.With(d).Inc()
 	m.DecisionSeconds.Observe(secs)
-}
-
-func (m *Metrics) refreshed(granted bool, err error) {
-	if m == nil {
-		return
-	}
-	result := refreshDenied
-	switch {
-	case err != nil:
-		result = refreshError
-	case granted:
-		result = refreshGranted
-	}
-	m.ClientRefreshes.With(result).Inc()
-}
-
-func (m *Metrics) retriedRefresh() {
-	if m == nil {
-		return
-	}
-	m.ClientRetries.Inc()
 }

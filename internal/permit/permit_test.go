@@ -1,16 +1,31 @@
 package permit
 
 import (
-	"context"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
-
-	"threegol/internal/obs"
 )
+
+// get asks the backend at url for a permit.
+func get(t *testing.T, url, device, cell string) Response {
+	t.Helper()
+	resp, err := http.Get(url + "/permit?device=" + device + "&cell=" + cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /permit: %s", resp.Status)
+	}
+	var out Response
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestBackendGrantsBelowThreshold(t *testing.T) {
 	util := 0.3
@@ -22,30 +37,25 @@ func TestBackendGrantsBelowThreshold(t *testing.T) {
 			return util
 		},
 		Threshold: 0.7,
+		TTL:       50 * time.Millisecond,
 	}
 	srv := httptest.NewServer(b)
 	defer srv.Close()
 
-	c := &Client{BackendURL: srv.URL, Device: "d1", Cell: "c1"}
-	if !c.Allowed(context.Background()) {
-		t.Error("permit denied below threshold")
+	if r := get(t, srv.URL, "d1", "c1"); !r.Granted || r.TTLSeconds != 0.05 {
+		t.Errorf("below threshold: %+v, want granted for the 50ms TTL", r)
 	}
 	grants, denials := b.Stats()
 	if grants != 1 || denials != 0 {
 		t.Errorf("stats = %d/%d, want 1/0", grants, denials)
 	}
 
-	// Congest the cell; the cached permit still holds until TTL.
+	// Congest the cell: the next decision denies.
 	mu.Lock()
 	util = 0.9
 	mu.Unlock()
-	if !c.Allowed(context.Background()) {
-		t.Error("cached permit should still be honoured")
-	}
-	// Force refresh: now denied.
-	c.Invalidate()
-	if c.Allowed(context.Background()) {
-		t.Error("permit granted above threshold after refresh")
+	if r := get(t, srv.URL, "d1", "c1"); r.Granted || r.TTLSeconds != 0 {
+		t.Errorf("above threshold: %+v, want denied without a TTL", r)
 	}
 }
 
@@ -53,41 +63,11 @@ func TestBackendDeniesAboveThreshold(t *testing.T) {
 	b := &Backend{Utilization: func(string) float64 { return 0.95 }}
 	srv := httptest.NewServer(b)
 	defer srv.Close()
-	c := &Client{BackendURL: srv.URL, Device: "d", Cell: "c"}
-	if c.Allowed(context.Background()) {
+	if get(t, srv.URL, "d", "c").Granted {
 		t.Error("permit granted for congested cell")
 	}
 	if g, d := b.Stats(); g != 0 || d != 1 {
 		t.Errorf("stats = %d/%d, want 0/1", g, d)
-	}
-}
-
-func TestPermitExpiresAfterTTL(t *testing.T) {
-	var mu sync.Mutex
-	util := 0.1
-	b := &Backend{
-		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); return util },
-		TTL:         50 * time.Millisecond,
-	}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
-	c := &Client{BackendURL: srv.URL, Device: "d", Cell: "c"}
-	if !c.Allowed(context.Background()) {
-		t.Fatal("initial grant failed")
-	}
-	mu.Lock()
-	util = 0.99
-	mu.Unlock()
-	time.Sleep(80 * time.Millisecond) // past TTL
-	if c.Allowed(context.Background()) {
-		t.Error("expired permit not refreshed (should now be denied)")
-	}
-}
-
-func TestClientFailsSafeOnBackendDown(t *testing.T) {
-	c := &Client{BackendURL: "http://127.0.0.1:1", Device: "d", Cell: "c"}
-	if c.Allowed(context.Background()) {
-		t.Error("unreachable backend must deny onloading")
 	}
 }
 
@@ -122,110 +102,5 @@ func TestBackendValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 500 {
 		t.Errorf("no monitoring hook = %d, want 500", resp.StatusCode)
-	}
-}
-
-func TestDeniedPermitRecheckedAfterCooldown(t *testing.T) {
-	var mu sync.Mutex
-	util := 0.99
-	calls := 0
-	b := &Backend{
-		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); calls++; return util },
-	}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
-	c := &Client{BackendURL: srv.URL, Device: "d", Cell: "c"}
-	if c.Allowed(context.Background()) {
-		t.Fatal("should be denied")
-	}
-	// Within the cool-down, no new backend call.
-	c.Allowed(context.Background())
-	mu.Lock()
-	if calls != 1 {
-		t.Errorf("backend called %d times within cool-down, want 1", calls)
-	}
-	mu.Unlock()
-}
-
-func TestClientRetriesTransient5xx(t *testing.T) {
-	// First request 503, second succeeds: the client's single retry
-	// must turn this into a granted permit.
-	var mu sync.Mutex
-	calls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		if n == 1 {
-			http.Error(w, "warming up", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"granted":true,"ttl_seconds":60}`)
-	}))
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	c := &Client{BackendURL: srv.URL, Device: "d1", Cell: "c1", Metrics: m}
-	if !c.Allowed(context.Background()) {
-		t.Fatal("permit denied despite successful retry")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 2 {
-		t.Fatalf("backend saw %d calls; want exactly 2 (one retry)", calls)
-	}
-	if got := m.ClientRetries.With().Value(); got != 1 {
-		t.Fatalf("retry counter = %v; want 1", got)
-	}
-}
-
-func TestClientRetriesConnectionRefused(t *testing.T) {
-	// A dead backend: both attempts fail, the client degrades to "not
-	// allowed" after exactly one retry, and fails fast.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	url := srv.URL
-	srv.Close() // nothing listens here any more → connection refused
-
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	c := &Client{BackendURL: url, Device: "d1", Cell: "c1", Metrics: m,
-		RequestTimeout: 200 * time.Millisecond}
-	start := time.Now()
-	if c.Allowed(context.Background()) {
-		t.Fatal("permit granted with a dead backend")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("dead-backend refresh took %v; want fast failure", d)
-	}
-	if got := m.ClientRetries.With().Value(); got != 1 {
-		t.Fatalf("retry counter = %v; want exactly 1", got)
-	}
-	if got := m.ClientRefreshes.With("error").Value(); got != 1 {
-		t.Fatalf("error refreshes = %v; want 1 (retry folded into one refresh)", got)
-	}
-}
-
-func TestClientDoesNotRetry4xx(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		http.Error(w, "who are you", http.StatusForbidden)
-	}))
-	defer srv.Close()
-
-	c := &Client{BackendURL: srv.URL, Device: "d1", Cell: "c1"}
-	if c.Allowed(context.Background()) {
-		t.Fatal("permit granted on 403")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 1 {
-		t.Fatalf("backend saw %d calls; 4xx must not be retried", calls)
 	}
 }

@@ -145,11 +145,12 @@ func TestShardedRoutesSinglePermit(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	cl := permit.Client{BackendURL: srv.URL, Device: "d0", Cell: "cell-0"}
+	fetch := (&BatchClient{BackendURL: srv.URL}).Fetch
+	cl := Cache{Fetch: fetch, Device: "d0", Cell: "cell-0"}
 	if !cl.Allowed(context.Background()) {
 		t.Error("idle cell denied through the router")
 	}
-	hot := permit.Client{BackendURL: srv.URL, Device: "d1", Cell: "hot-0"}
+	hot := Cache{Fetch: fetch, Device: "d1", Cell: "hot-0"}
 	if hot.Allowed(context.Background()) {
 		t.Error("congested cell granted through the router")
 	}

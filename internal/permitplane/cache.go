@@ -19,11 +19,10 @@ const (
 	DefaultRefreshHi = 0.95
 )
 
-// Cooldowns after non-granted refreshes, mirroring permit.Client: a
-// denial is re-checked after a few seconds ("the transmission is
-// denied, and the device does not advertise"), a backend failure backs
-// off briefly so a dead backend does not turn every request into a
-// round trip.
+// Cooldowns after non-granted refreshes: a denial is re-checked after
+// a few seconds ("the transmission is denied, and the device does not
+// advertise"), a backend failure backs off briefly so a dead backend
+// does not turn every request into a round trip.
 const (
 	denyCooldown  = 5 * time.Second
 	errorCooldown = 2 * time.Second
@@ -42,8 +41,8 @@ const (
 	DefaultGrace              = 30 * time.Second
 )
 
-// Cache is the device-side permit cache of the production plane. It
-// improves on permit.Client in three ways that matter at fleet scale:
+// Cache is the device-side permit cache of the production plane. Three
+// properties matter at fleet scale:
 //
 //   - Proactive, TTL-jittered refresh: instead of refreshing at expiry
 //     (where every device granted in the same backend restart returns

@@ -67,7 +67,7 @@ func TestRetryEventsOnFixedPath(t *testing.T) {
 	log := newTestLog()
 	p := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 2}}
 	rep, err := Run(context.Background(), RoundRobin, mkItems(1, 1000), []Path{p},
-		Options{MaxRetries: 3, Events: log})
+		Options{Resilience: Resilience{MaxRetries: 3}, Events: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestExhaustionEvents(t *testing.T) {
 	log := newTestLog()
 	p := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 99}}
 	_, err := Run(context.Background(), RoundRobin, mkItems(1, 1000), []Path{p},
-		Options{MaxRetries: 2, Events: log})
+		Options{Resilience: Resilience{MaxRetries: 2}, Events: log})
 	if err == nil {
 		t.Fatal("want exhaustion error")
 	}
@@ -185,7 +185,7 @@ func TestGreedyRequeueEvents(t *testing.T) {
 	log := newTestLog()
 	p := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 1}}
 	rep, err := Run(context.Background(), Greedy, mkItems(2, 1000), []Path{p},
-		Options{MaxRetries: 3, Events: log})
+		Options{Resilience: Resilience{MaxRetries: 3}, Events: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,89 +10,6 @@ import (
 	"threegol/internal/obs"
 )
 
-func TestBackoffDelayDeterministic(t *testing.T) {
-	cfg := BackoffConfig{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.5, Seed: 7}
-	a, b := newBackoffState(cfg), newBackoffState(cfg)
-	for k := 0; k < 8; k++ {
-		da, db := a.delay(k), b.delay(k)
-		if da != db {
-			t.Fatalf("delay(%d): %v vs %v — same seed must draw the same jitter", k, da, db)
-		}
-		// Bounds: min(Max, Base·2^k) ≤ d < that·(1+Jitter).
-		base := cfg.Base << k
-		if base > cfg.Max {
-			base = cfg.Max
-		}
-		if da < base || da >= base+time.Duration(cfg.Jitter*float64(base))+time.Nanosecond {
-			t.Fatalf("delay(%d) = %v outside [%v, %v)", k, da, base, base*3/2)
-		}
-	}
-	// Zero Base disables backoff entirely.
-	if d := newBackoffState(BackoffConfig{}).delay(3); d != 0 {
-		t.Fatalf("disabled backoff returned %v", d)
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	trk := &tracker{opts: Options{}}
-	b := &breaker{
-		path: "phone1",
-		cfg:  BreakerConfig{Threshold: 2, Cooldown: time.Second, MaxCooldown: 3 * time.Second},
-		trk:  trk, cooldown: time.Second,
-	}
-	t0 := time.Unix(100, 0)
-
-	if _, ok := b.admit(t0); !ok {
-		t.Fatal("closed breaker must admit")
-	}
-	b.onFailure(t0)
-	if _, ok := b.admit(t0); !ok {
-		t.Fatal("one failure under threshold must not eject")
-	}
-	b.onFailure(t0) // second consecutive failure → open
-	wait, ok := b.admit(t0)
-	if ok || wait != time.Second {
-		t.Fatalf("open breaker admitted (wait %v, ok %v)", wait, ok)
-	}
-
-	// Cooldown elapsed → half-open probe admitted; probe failure
-	// re-opens with doubled cooldown.
-	t1 := t0.Add(time.Second)
-	if _, ok := b.admit(t1); !ok {
-		t.Fatal("expired cooldown must admit the probe")
-	}
-	b.onFailure(t1)
-	wait, ok = b.admit(t1)
-	if ok || wait != 2*time.Second {
-		t.Fatalf("failed probe: wait %v, ok %v; want 2s hold", wait, ok)
-	}
-
-	// Next probe succeeds → closed, cooldown reset.
-	t2 := t1.Add(2 * time.Second)
-	if _, ok := b.admit(t2); !ok {
-		t.Fatal("second probe not admitted")
-	}
-	b.onSuccess()
-	if _, ok := b.admit(t2); !ok {
-		t.Fatal("closed-after-probe breaker must admit")
-	}
-	if b.cooldown != time.Second {
-		t.Fatalf("cooldown after success = %v; want reset to 1s", b.cooldown)
-	}
-
-	// Cooldown escalation caps at MaxCooldown.
-	for i := 0; i < 4; i++ {
-		b.onFailure(t2)
-		b.onFailure(t2)
-		b.mu.Lock()
-		b.state = breakerClosed // re-arm without waiting out the hold
-		b.mu.Unlock()
-	}
-	if b.cooldown != 3*time.Second {
-		t.Fatalf("cooldown = %v; want capped at 3s", b.cooldown)
-	}
-}
-
 // stallyPath is a ProgressPath that silently wedges (no bytes, no
 // error) for the first stallsLeft[item] attempts, then transfers
 // instantly.
@@ -129,7 +46,7 @@ func TestStallWatchdogAbortsAndRecovers(t *testing.T) {
 	m := NewMetrics(reg)
 	p := &stallyPath{name: "phone1", stallsLeft: map[int]int{0: 1, 2: 1}}
 	rep, err := Run(context.Background(), Greedy, mkItems(3, 100), []Path{p},
-		Options{StallTimeout: 30 * time.Millisecond, MaxRetries: 3, Metrics: m})
+		Options{Resilience: Resilience{StallTimeout: 30 * time.Millisecond, MaxRetries: 3}, Metrics: m})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -146,7 +63,7 @@ func TestStallWatchdogNeedsProgressPath(t *testing.T) {
 	// aborted, however long it takes.
 	p := &fakePath{name: "adsl", rate: 1e4} // 10ms per 100-byte item
 	rep, err := Run(context.Background(), Greedy, mkItems(1, 100), []Path{p},
-		Options{StallTimeout: time.Millisecond})
+		Options{Resilience: Resilience{StallTimeout: time.Millisecond}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -163,7 +80,7 @@ func TestStallErrorRequeues(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	rep, err := Run(context.Background(), Greedy, mkItems(2, 1000), []Path{clean, wedge},
-		Options{StallTimeout: 20 * time.Millisecond, MaxRetries: 2, Metrics: m})
+		Options{Resilience: Resilience{StallTimeout: 20 * time.Millisecond, MaxRetries: 2}, Metrics: m})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -194,10 +111,12 @@ func TestGracefulDegradationADSLOnly(t *testing.T) {
 	rep, err := Run(context.Background(), Greedy, mkItems(n, 1000),
 		[]Path{adsl, phone1, phone2},
 		Options{
-			MaxRetries: 2,
-			Backoff:    BackoffConfig{Base: time.Millisecond, Jitter: 0.5, Seed: 1},
-			Breaker:    BreakerConfig{Threshold: 2, Cooldown: 10 * time.Millisecond},
-			Metrics:    m,
+			Resilience: Resilience{
+				MaxRetries: 2,
+				Backoff:    BackoffConfig{Base: time.Millisecond, Jitter: 0.5, Seed: 1},
+				Breaker:    BreakerConfig{Threshold: 2, Cooldown: 10 * time.Millisecond},
+			},
+			Metrics: m,
 		})
 	if err != nil {
 		t.Fatalf("transaction failed with a live ADSL path: %v", err)
@@ -224,7 +143,7 @@ func TestGreedyExhaustionItemError(t *testing.T) {
 	p1 := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 99}}
 	p2 := &fakePath{name: "phone1", rate: 1e6, failures: map[int]int{0: 99}}
 	_, err := Run(context.Background(), Greedy, mkItems(1, 100), []Path{p1, p2},
-		Options{MaxRetries: 2})
+		Options{Resilience: Resilience{MaxRetries: 2}})
 	if err == nil {
 		t.Fatal("want exhaustion error")
 	}
@@ -243,7 +162,7 @@ func TestBackoffDisabledByDefault(t *testing.T) {
 	p := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 2}}
 	start := time.Now()
 	if _, err := Run(context.Background(), Greedy, mkItems(1, 100), []Path{p},
-		Options{MaxRetries: 3}); err != nil {
+		Options{Resilience: Resilience{MaxRetries: 3}}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {

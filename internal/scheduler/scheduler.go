@@ -18,13 +18,20 @@
 //     MIN the worst performer in the paper.
 //   - Playout: greedy with a head-of-line endgame — the in-order
 //     delivery variant the paper leaves as future work.
+//
+// GRD and PLAYOUT, with their resilience stack (retry budgets, requeue,
+// backoff, the circuit breaker), are decided by Core: one
+// single-threaded, clock-free state machine. Run drives it live, one
+// goroutine per path; internal/fault's Simulate drives the same Core in
+// virtual time, so the fleet chaos harness checks the policy that
+// ships.
 package scheduler
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
@@ -94,28 +101,13 @@ type Options struct {
 	// InitialBandwidth seeds MIN's estimator per path (bits/s). Nil or
 	// missing entries default to 1 Mbps.
 	InitialBandwidth map[string]float64
-	// MaxRetries is how many times a failed item is re-queued before the
-	// transaction aborts. Zero selects 3.
-	MaxRetries int
 	// OnItemDone, when non-nil, fires at each item's first successful
 	// completion with the elapsed time since the transaction started.
 	// Callbacks are serialised.
 	OnItemDone func(Item, time.Duration)
-	// DisableDuplication turns off GRD's endgame re-assignment (the
-	// ablation knob for the paper's duplication design choice).
-	DisableDuplication bool
-	// Backoff configures deterministic exponential backoff with seeded
-	// jitter between retry attempts. The zero value disables backoff
-	// (instant retry, the historical behaviour).
-	Backoff BackoffConfig
-	// StallTimeout aborts a transfer attempt when the path reports no
-	// byte progress for this long, and requeues the item. Only paths
-	// implementing ProgressPath are watched; zero disables the
-	// watchdog.
-	StallTimeout time.Duration
-	// Breaker configures the per-path circuit breaker (GRD/PLAYOUT
-	// only). The zero value disables it.
-	Breaker BreakerConfig
+	// Resilience configures retry budgets, endgame duplication,
+	// backoff, the stall watchdog and the breaker.
+	Resilience
 	// Clock supplies elapsed-time measurement; nil selects the system
 	// clock. Tests and virtual-time harnesses inject a fake here.
 	Clock clock.Clock
@@ -138,13 +130,6 @@ func (o Options) minAlpha() float64 {
 		return 0.75
 	}
 	return o.MinAlpha
-}
-
-func (o Options) maxRetries() int {
-	if o.MaxRetries <= 0 {
-		return 3
-	}
-	return o.MaxRetries
 }
 
 // PathStats aggregates per-path activity within a Report.
@@ -238,20 +223,19 @@ type tracker struct {
 	clk   clock.Clock
 	start time.Time
 	opts  Options
-	res   *resilience
-	done  []bool
-	left  int
+	// bo is the fixed-queue policies' retry delay, guarded by mu.
+	bo   backoff
+	done []bool
+	left int
 	// doneCh closes when the last item completes, so workers sleeping
 	// out a backoff or breaker cooldown wake instead of delaying the
 	// transaction's return.
 	doneCh chan struct{}
 }
 
-func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options, paths []Path) *tracker {
-	t := &tracker{rep: rep, clk: clk, start: start, opts: opts,
+func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options) *tracker {
+	return &tracker{rep: rep, clk: clk, start: start, opts: opts, bo: newBackoff(opts.Backoff),
 		done: make([]bool, n), left: n, doneCh: make(chan struct{})}
-	t.res = newResilience(opts, paths, t)
-	return t
 }
 
 // complete records the first successful completion of item. It reports
@@ -301,10 +285,17 @@ func (t *tracker) addBytesLocked(pathName string, bytes int64) {
 	t.opts.Metrics.movedBytes(pathName, bytes)
 }
 
-func (t *tracker) isDone(id int) bool {
+// retryDelay is the backoff before the k-th same-path retry (0-based).
+func (t *tracker) retryDelay(k int) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.done[id]
+	return seconds(t.bo.delay(k))
+}
+
+// seconds converts core time to a Duration, rounding up so a driver
+// that sleeps it reaches the core's horizon.
+func seconds(s float64) time.Duration {
+	return time.Duration(math.Ceil(s * float64(time.Second)))
 }
 
 // remaining reports how many items have not yet completed.
@@ -331,7 +322,7 @@ func (t *tracker) addDuplicate(pathName string) {
 // ----- Round robin -----
 
 func runRoundRobin(ctx context.Context, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts, paths)
+	trk := newTracker(rep, clk, start, len(items), opts)
 	queues := make([][]Item, len(paths))
 	for i, it := range items {
 		q := i % len(paths)
@@ -361,8 +352,8 @@ func drainQueues(ctx context.Context, queues [][]Item, paths []Path, opts Option
 
 // transferWithRetry attempts item on path up to maxRetries times; each
 // successful completion is recorded in trk. onSample, when non-nil,
-// receives (bytes, seconds) of the successful attempt for bandwidth
-// estimation.
+// receives (bytes, seconds) of every successful attempt; seconds may be
+// 0 on a clock that did not advance.
 func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk *tracker, onSample func(bytes int64, seconds float64)) error {
 	trk.opts.Metrics.assigned(p.Name())
 	ev, tc := trk.opts.Events, trk.opts.Trace
@@ -374,7 +365,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 			return err
 		}
 		if attempt > 0 {
-			if d := trk.res.retryDelay(attempt - 1); d > 0 {
+			if d := trk.retryDelay(attempt - 1); d > 0 {
 				trk.opts.Metrics.backedOff(p.Name())
 				ev.Point(tc, "scheduler.backoff",
 					"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
@@ -393,9 +384,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 			sp.End("outcome", "ok", "bytes", eventlog.Int(n))
 			trk.complete(it, p.Name(), n)
 			if onSample != nil {
-				if secs := trk.clk.Since(t0).Seconds(); secs > 0 {
-					onSample(n, secs)
-				}
+				onSample(n, trk.clk.Since(t0).Seconds())
 			}
 			return nil
 		}
@@ -409,7 +398,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 			trk.opts.Metrics.stallAborted(p.Name())
 			ev.Point(tc, "scheduler.stall",
 				"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
-				"timeout_s", eventlog.Float(trk.res.stall.Seconds()))
+				"timeout_s", eventlog.Float(trk.opts.StallTimeout.Seconds()))
 		}
 		trk.opts.Metrics.retried(p.Name())
 		ev.Point(tc, "scheduler.retry",
@@ -426,7 +415,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 // ----- MIN (estimated minimum completion time) -----
 
 func runMinTime(ctx context.Context, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts, paths)
+	trk := newTracker(rep, clk, start, len(items), opts)
 	n := len(paths)
 
 	type pathState struct {
@@ -526,8 +515,12 @@ func runMinTime(ctx context.Context, items []Item, paths []Path, opts Options, r
 				}
 				err := transferWithRetry(ctx, p, it, opts.maxRetries(), trk, func(bytes int64, secs float64) {
 					mu.Lock()
-					sample := float64(bytes) * 8 / secs
-					st.est = alpha*sample + (1-alpha)*st.est
+					if secs > 0 {
+						// An attempt that took no measurable time carries no
+						// bandwidth information; the bookkeeping below must
+						// still run or the assignment stalls.
+						st.est = alpha*(float64(bytes)*8/secs) + (1-alpha)*st.est
+					}
 					st.sampled = true
 					st.backlog -= it.Size
 					if !bulkDone && next < len(items) {
@@ -558,46 +551,20 @@ func runMinTime(ctx context.Context, items []Item, paths []Path, opts Options, r
 
 // ----- Greedy with endgame duplication -----
 
-type flight struct {
-	item     Item
-	seq      int // assignment order (for "oldest" selection)
-	replicas map[string]context.CancelFunc
-}
-
+// runGreedy is the live driver of the greedy Core: one goroutine per
+// path, all policy decisions taken by the core under one mutex, and
+// the core's result flags turned into metrics and flight-recorder
+// events.
 func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts, paths)
-
+	trk := newTracker(rep, clk, start, len(items), opts)
 	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		pending  = append([]Item(nil), items...)
-		inflight = make(map[int]*flight)
-		seq      int
-		failed   error
-		// fails[itemID][pathName] counts genuine transfer failures; an
-		// item only fails the transaction once every path has exhausted
-		// its per-path retry budget for it.
-		fails = make(map[int]map[string]int)
+		mu      sync.Mutex
+		cond    = sync.NewCond(&mu)
+		core    = NewCore(algo, len(items), len(paths), opts.Resilience)
+		cancels = make([]context.CancelFunc, len(paths)) // running replica per path
+		failed  error
 	)
-	pathFails := func(id int, path string) int {
-		return fails[id][path]
-	}
-	recordFail := func(id int, path string) {
-		m := fails[id]
-		if m == nil {
-			m = make(map[string]int)
-			fails[id] = m
-		}
-		m[path]++
-	}
-	exhaustedEverywhere := func(id int) bool {
-		for _, p := range paths {
-			if pathFails(id, p.Name()) < opts.maxRetries() {
-				return false
-			}
-		}
-		return true
-	}
+	now := func() float64 { return clk.Since(start).Seconds() }
 	g := newErrGroup(ctx)
 	// Wake all cond waiters when the group context dies (parent cancel or
 	// a worker error) so they can exit.
@@ -610,213 +577,150 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 		mu.Unlock()
 	})
 	defer stopWake()
+	ev, tc, m := opts.Events, opts.Trace, opts.Metrics
 
-	// pickDuplicate selects the oldest in-flight item this path is not
-	// already carrying (and has retry budget left for), preferring items
-	// with the fewest replicas.
-	pickDuplicate := func(self string) *flight {
-		var cands []*flight
-		for _, f := range inflight {
-			if _, carrying := f.replicas[self]; carrying {
-				continue
-			}
-			if len(f.replicas) >= len(paths) {
-				continue
-			}
-			if pathFails(f.item.ID, self) >= opts.maxRetries() {
-				continue
-			}
-			cands = append(cands, f)
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if algo == Playout {
-				// Head-of-line first: the lowest-ID incomplete item is
-				// what gates in-order playout.
-				return cands[i].item.ID < cands[j].item.ID
-			}
-			if len(cands[i].replicas) != len(cands[j].replicas) {
-				return len(cands[i].replicas) < len(cands[j].replicas)
-			}
-			return cands[i].seq < cands[j].seq
-		})
-		return cands[0]
-	}
-
-	// takeable returns the index of the first pending item this path may
-	// still attempt, or −1.
-	takeable := func(self string) int {
-		for i, it := range pending {
-			if pathFails(it.ID, self) < opts.maxRetries() {
-				return i
-			}
-		}
-		return -1
-	}
-
-	for _, p := range paths {
-		p := p
+	for pi, p := range paths {
+		name := p.Name()
 		g.go_(func(ctx context.Context) error {
+			// served is the last hold horizon this worker slept out, so
+			// the hold counts as over even on a clock whose Sleep does
+			// not move Since.
+			var served float64
 			for {
-				// Circuit-breaker gate: while this path's breaker is open
-				// it is ejected from the rotation — sleep out the cooldown
-				// (waking early on completion or cancellation), then come
-				// back as the half-open probe.
-				if br := trk.res.breakerFor(p.Name()); br != nil {
-					if wait, ok := br.admit(trk.clk.Now()); !ok {
-						if trk.sleepFor(ctx, wait) {
-							continue
-						}
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						// Transaction resolved while ejected: fall through
-						// to the exit checks under the lock.
-					}
-				}
 				mu.Lock() //3golvet:allow locksafe — condition-variable protocol; cond.Wait needs the raw mutex
-				var takeIdx int
+				var d Decision
 				for {
 					if failed != nil {
 						mu.Unlock()
 						return failed
 					}
-					if trk.remaining() == 0 {
-						mu.Unlock()
-						return nil
+					d = core.Idle(pi, max(now(), served))
+					if d.Probe {
+						m.breakerProbed(name)
+						ev.Point(tc, "scheduler.breaker_probe", "path", name)
 					}
-					takeIdx = takeable(p.Name())
-					if takeIdx >= 0 {
-						break
-					}
-					if !opts.DisableDuplication && pickDuplicate(p.Name()) != nil {
+					if d.Act != ActPark {
 						break
 					}
 					cond.Wait()
 				}
-
-				var f *flight
-				if takeIdx >= 0 {
-					it := pending[takeIdx]
-					pending = append(pending[:takeIdx], pending[takeIdx+1:]...)
-					f = &flight{item: it, seq: seq, replicas: map[string]context.CancelFunc{}}
-					seq++
-					inflight[it.ID] = f
-				} else {
-					f = pickDuplicate(p.Name())
-					trk.addDuplicate(p.Name())
+				switch d.Act {
+				case ActStop:
+					mu.Unlock()
+					return nil
+				case ActBackoff, ActCooldown:
+					// Held out: sleep to the horizon, waking early on
+					// completion or cancellation.
+					mu.Unlock()
+					if trk.sleepFor(ctx, max(seconds(d.Until-now()), time.Nanosecond)) {
+						served = d.Until
+					} else if ctx.Err() != nil {
+						return ctx.Err()
+					}
+					continue
 				}
 				tctx, cancel := context.WithCancel(ctx)
-				f.replicas[p.Name()] = cancel
-				item := f.item
+				cancels[pi] = cancel
 				mu.Unlock()
-				trk.opts.Metrics.assigned(p.Name())
-				ev, tc := trk.opts.Events, trk.opts.Trace
-				if takeIdx >= 0 {
-					ev.Point(tc, "scheduler.assign",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-				} else {
+				item := items[d.Item]
+				m.assigned(name)
+				if d.Dup {
+					trk.addDuplicate(name)
 					ev.Point(tc, "scheduler.duplicate",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name())
+						"item", eventlog.Int(int64(item.ID)), "path", name)
+				} else {
+					ev.Point(tc, "scheduler.assign",
+						"item", eventlog.Int(int64(item.ID)), "path", name)
 				}
 				sp := ev.Begin(tc, "scheduler.attempt",
-					"item", eventlog.Int(int64(item.ID)), "path", p.Name())
+					"item", eventlog.Int(int64(item.ID)), "path", name)
 
 				n, err, stalled := runAttempt(eventlog.NewContext(tctx, sp.Context()), p, item, trk)
 				// Record whether *our replica* was cancelled before we
 				// release the context (cancel() would make tctx.Err()
 				// non-nil unconditionally). A stall abort cancels only
-				// runAttempt's child context, so it lands in the genuine-
-				// failure branch below and the item is requeued.
+				// runAttempt's child context, so it counts as a genuine
+				// failure and the item is requeued.
 				replicaCancelled := tctx.Err() != nil
 				cancel()
 
-				var backoffDelay time.Duration
-				mu.Lock() //3golvet:allow locksafe — outcome bookkeeping unlocks manually on the abort path
-				delete(f.replicas, p.Name())
+				out := AttemptFailed
 				switch {
 				case err == nil:
-					won := false
-					if !trk.isDone(item.ID) {
-						won = trk.complete(item, p.Name(), n)
-					} else {
-						trk.addBytes(p.Name(), n)
-						trk.addWaste(n)
-					}
-					if won {
-						sp.End("outcome", "ok", "bytes", eventlog.Int(n))
-						// Abort losing replicas; their partial bytes are
-						// accounted when their Transfer returns.
-						for _, c := range f.replicas {
-							c()
-						}
-						delete(inflight, item.ID)
-					} else {
-						sp.End("outcome", "lost_race", "bytes", eventlog.Int(n))
-					}
-					trk.res.onSuccess(p.Name())
-					cond.Broadcast()
+					out = AttemptOK
 				case replicaCancelled && ctx.Err() == nil:
-					// Cancelled because another replica won: waste.
-					sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-					trk.addBytes(p.Name(), n)
-					trk.addWaste(n)
-					cond.Broadcast()
+					out = AttemptCancelled
 				case ctx.Err() != nil:
 					sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-					trk.addBytes(p.Name(), n)
-					mu.Unlock()
+					trk.addBytes(name, n)
 					return ctx.Err()
+				case stalled:
+					out = AttemptStalled
+				}
+				mu.Lock() //3golvet:allow locksafe — per-iteration lock in the worker loop; a defer would hold it until the worker exits
+				cancels[pi] = nil
+				r := core.Finish(d.Item, pi, out, now())
+				switch {
+				case r.Won:
+					sp.End("outcome", "ok", "bytes", eventlog.Int(n))
+					trk.complete(item, name, n)
+					// Abort losing replicas; their partial bytes are
+					// accounted when their Transfer returns.
+					for _, q := range r.Cancel {
+						cancels[q]()
+					}
+					if r.Closed {
+						m.breakerClosed(name)
+						ev.Point(tc, "scheduler.breaker_close", "path", name)
+					}
+				case out == AttemptOK || out == AttemptCancelled:
+					// Lost the race, or cancelled because another
+					// replica won: waste.
+					outcome := "lost_race"
+					if out == AttemptCancelled {
+						outcome = "cancelled"
+					}
+					sp.End("outcome", outcome, "bytes", eventlog.Int(n))
+					trk.addBytes(name, n)
+					trk.addWaste(n)
 				default:
-					// Genuine transfer failure: requeue unless the item
-					// completed elsewhere or every path has exhausted its
-					// retry budget for it.
 					sp.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
-					trk.addBytes(p.Name(), n)
+					trk.addBytes(name, n)
 					if stalled {
-						trk.opts.Metrics.stallAborted(p.Name())
+						m.stallAborted(name)
 						ev.Point(tc, "scheduler.stall",
-							"item", eventlog.Int(int64(item.ID)), "path", p.Name(),
-							"timeout_s", eventlog.Float(trk.res.stall.Seconds()))
+							"item", eventlog.Int(int64(item.ID)), "path", name,
+							"timeout_s", eventlog.Float(opts.StallTimeout.Seconds()))
 					}
-					trk.opts.Metrics.retried(p.Name())
+					m.retried(name)
 					ev.Point(tc, "scheduler.retry",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-					backoffDelay = trk.res.onFailure(p.Name(), trk.clk.Now())
-					if !trk.isDone(item.ID) {
-						recordFail(item.ID, p.Name())
-						switch {
-						case exhaustedEverywhere(item.ID):
-							attempts := 0
-							for _, c := range fails[item.ID] {
-								attempts += c
-							}
-							failed = &ItemError{ItemID: item.ID, ItemName: item.Name,
-								PathName: p.Name(), Attempts: attempts, Everywhere: true, Err: err}
-							ev.Point(tc, "scheduler.exhausted",
-								"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-						case len(f.replicas) == 0:
-							// No other replica carries it: requeue so a
-							// path with remaining budget can take it.
-							delete(inflight, item.ID)
-							pending = append(pending, item)
-							trk.opts.Metrics.requeued()
-							ev.Point(tc, "scheduler.requeue",
-								"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-						}
+						"item", eventlog.Int(int64(item.ID)), "path", name)
+					if r.Opened {
+						m.breakerOpened(name)
+						ev.Point(tc, "scheduler.breaker_open",
+							"path", name, "cooldown_s", eventlog.Float(r.Cooldown))
 					}
-					cond.Broadcast()
+					switch {
+					case r.Exhausted:
+						failed = &ItemError{ItemID: item.ID, ItemName: item.Name,
+							PathName: name, Attempts: r.Attempts, Everywhere: true, Err: err}
+						ev.Point(tc, "scheduler.exhausted",
+							"item", eventlog.Int(int64(item.ID)), "path", name)
+					case r.Requeued:
+						m.requeued()
+						ev.Point(tc, "scheduler.requeue",
+							"item", eventlog.Int(int64(item.ID)), "path", name)
+					}
+					if r.Delay > 0 {
+						// The next Idle holds the path until the horizon.
+						m.backedOff(name)
+						ev.Point(tc, "scheduler.backoff",
+							"item", eventlog.Int(int64(item.ID)), "path", name,
+							"delay_s", eventlog.Float(r.Delay))
+					}
 				}
+				cond.Broadcast()
 				mu.Unlock()
-				if backoffDelay > 0 {
-					trk.opts.Metrics.backedOff(p.Name())
-					ev.Point(tc, "scheduler.backoff",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name(),
-						"delay_s", eventlog.Float(backoffDelay.Seconds()))
-					trk.sleepFor(ctx, backoffDelay)
-				}
 			}
 		})
 	}

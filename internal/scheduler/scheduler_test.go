@@ -198,7 +198,7 @@ func TestGreedyDisableDuplication(t *testing.T) {
 	fast := &fakePath{name: "fast", rate: 500e3}
 	slow := &fakePath{name: "slow", rate: 50e3}
 	rep, err := Run(context.Background(), Greedy, mkItems(2, 20000), []Path{slow, fast},
-		Options{DisableDuplication: true})
+		Options{Resilience: Resilience{DisableDuplication: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 
 func TestRetryExhaustionFailsTransaction(t *testing.T) {
 	p := &fakePath{name: "dead", rate: 1e6, failures: map[int]int{0: 100}}
-	_, err := Run(context.Background(), RoundRobin, mkItems(1, 1000), []Path{p}, Options{MaxRetries: 2})
+	_, err := Run(context.Background(), RoundRobin, mkItems(1, 1000), []Path{p}, Options{Resilience: Resilience{MaxRetries: 2}})
 	if err == nil {
 		t.Fatal("permanently failing item did not fail the transaction")
 	}
@@ -400,5 +400,49 @@ func TestPlayoutDuplicatesHeadOfLine(t *testing.T) {
 			t.Errorf("item %d finished %v before item %d; head-of-line ignored",
 				i, -gap, i-1)
 		}
+	}
+}
+
+// frozenClock never advances, so every attempt measures zero time.
+type frozenClock struct{}
+
+func (frozenClock) Now() time.Time                { return time.Time{} }
+func (frozenClock) Since(time.Time) time.Duration { return 0 }
+func (frozenClock) Sleep(time.Duration)           {}
+
+// MIN must keep assigning work when attempts take no measurable time:
+// a zero-second sample carries no bandwidth, but the path still
+// finished its item.
+func TestMinTimeFrozenClock(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	paths := []Path{&fakePath{name: "adsl", rate: 1e12}, &fakePath{name: "phone1", rate: 1e12}}
+	rep, err := Run(ctx, MinTime, mkItems(6, 1000), paths, Options{Clock: frozenClock{}})
+	if err != nil {
+		t.Fatalf("MIN on a frozen clock: %v", err)
+	}
+	if got := rep.PerPath["adsl"].Items + rep.PerPath["phone1"].Items; got != 6 {
+		t.Fatalf("completed %d of 6 items", got)
+	}
+}
+
+// GRD must serve backoff and breaker holds on a clock that does not
+// advance: the driver's sleep, not the clock reading, ends the hold.
+func TestGreedyHoldsFrozenClock(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	paths := []Path{
+		&fakePath{name: "adsl", rate: 1e12, failures: map[int]int{0: 2, 1: 1}},
+		&fakePath{name: "phone1", rate: 1e12, failures: map[int]int{0: 2, 2: 1}},
+	}
+	rep, err := Run(ctx, Greedy, mkItems(4, 1000), paths, Options{Clock: frozenClock{},
+		Resilience: Resilience{MaxRetries: 5,
+			Backoff: BackoffConfig{Base: 10 * time.Millisecond},
+			Breaker: BreakerConfig{Threshold: 1, Cooldown: 20 * time.Millisecond}}})
+	if err != nil {
+		t.Fatalf("GRD on a frozen clock: %v", err)
+	}
+	if got := rep.PerPath["adsl"].Items + rep.PerPath["phone1"].Items; got != 4 {
+		t.Fatalf("completed %d of 4 items", got)
 	}
 }
